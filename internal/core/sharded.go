@@ -5,7 +5,6 @@ import (
 
 	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
 )
 
 // ShardedTable is a radix-partitioned variant of WordTable: 2^k
@@ -54,32 +53,39 @@ type ShardedTable[O Ops] struct {
 
 // minShardCells floors the per-shard capacity the automatic shard-count
 // policy will create: below ~4K cells (32KB) the partition pass's two
-// streaming passes cost more than the locality they buy. Mirrored by
-// tune.MinShardCells, which owns the live policy.
-const minShardCells = tune.MinShardCells
+// streaming passes cost more than the locality they buy.
+const minShardCells = 4096
 
 // maxAutoShards caps the automatic policy; per-worker histograms in the
 // partition pass are O(shards), so unbounded shard counts turn the
-// counting passes into the bottleneck. Mirrored by tune.MaxAutoShards.
-const maxAutoShards = tune.MaxAutoShards
+// counting passes into the bottleneck.
+const maxAutoShards = 256
+
+// autoShards is the automatic shard-count policy: 4× workers, capped at
+// maxAutoShards, halved until every shard keeps minShardCells cells
+// (the constructors then round up to a power of two). It reads nothing
+// but its arguments, so an auto-sharded table's layout does not depend
+// on what the process did before.
+func autoShards(size, workers int) int {
+	shards := 4 * workers
+	if shards > maxAutoShards {
+		shards = maxAutoShards
+	}
+	for shards > 1 && (size+shards-1)/shards < minShardCells {
+		shards /= 2
+	}
+	return shards
+}
 
 // NewShardedTable returns a sharded table with capacity for at least
 // size elements in total, split over the given number of shards
-// (rounded up to a power of two). shards <= 0 delegates to
-// tune.Shards, fed by the always-on counter core's max-shard-imbalance
-// gauge: with no skew observed (or under -tags nostats) it is exactly
-// the legacy static policy — 4× the current parallel.NumWorkers(),
-// clamped so every shard keeps at least minShardCells cells — and on
-// observed heavy skew it falls to one shard per worker (extra shards
-// cannot shorten a skew-bound critical path but still pay O(shards)
-// partition histograms).
+// (rounded up to a power of two). shards <= 0 selects autoShards over
+// the current parallel.NumWorkers().
 //
 // Note the shard count is part of the table's deterministic layout
-// function. The gauge is schedule-independent for a fixed multiset of
-// prior bulk calls, so auto-sharded construction stays reproducible
-// run-to-run; workloads that need bit-identical layouts across
-// *different* operation histories should pass an explicit shard count
-// (as the detres oracles do).
+// function, and the automatic count depends on the worker count:
+// workloads that need bit-identical layouts across machines should
+// pass an explicit shard count (as the detres oracles do).
 //
 // Keys spread over shards multinomially, so per-shard load factors
 // fluctuate around the average; size with the same headroom you would
@@ -91,7 +97,7 @@ func NewShardedTable[O Ops](size, shards int) *ShardedTable[O] {
 		size = 1
 	}
 	if shards <= 0 {
-		shards = tune.Shards(size, parallel.NumWorkers(), obs.CoreMaxShardImbalancePm())
+		shards = autoShards(size, parallel.NumWorkers())
 	}
 	s := 1
 	k := uint(0)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"phasehash/internal/hashx"
-	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
 )
 
@@ -274,13 +273,15 @@ func TestShardedInsertAllPanicsOnReserved(t *testing.T) {
 func TestShardedAutoShardCount(t *testing.T) {
 	defer parallel.SetNumWorkers(parallel.SetNumWorkers(0))
 	parallel.SetNumWorkers(4)
-	// Earlier tests in this process may have run skewed bulk kernels,
-	// raising the always-on imbalance gauge the auto policy consults;
-	// this test pins the zero-gauge (static) policy.
-	obs.CoreReset()
+	// A maximally skewed bulk call first: the shard count must not
+	// depend on what the process ran before the construction.
+	NewShardedTable[SetOps](1<<16, 16).InsertAll([]uint64{42})
 	big := NewShardedTable[SetOps](1<<20, 0)
 	if got := big.NumShards(); got != 16 {
 		t.Fatalf("auto shards at 4 workers = %d, want 16", got)
+	}
+	if got := NewShardedCompactTable[SetOps](1<<20, 0).NumShards(); got != 16 {
+		t.Fatalf("auto compact shards at 4 workers = %d, want 16", got)
 	}
 	// Small tables clamp the count so shards keep >= minShardCells.
 	small := NewShardedTable[SetOps](2*minShardCells, 0)
@@ -294,6 +295,29 @@ func TestShardedAutoShardCount(t *testing.T) {
 	one.Insert(42)
 	if !one.Contains(42) {
 		t.Fatal("single-shard table lost its element")
+	}
+}
+
+// TestShardsStaticEquivalence pins the automatic shard-count policy: 4×
+// workers, capped at maxAutoShards, halved until every shard keeps
+// minShardCells cells.
+func TestShardsStaticEquivalence(t *testing.T) {
+	cases := []struct {
+		size, workers int
+		want          int
+	}{
+		{1 << 20, 4, 16},    // plenty of cells: 4*4
+		{1 << 20, 8, 32},    // 4*8
+		{1 << 20, 6, 24},    // 4*6; the constructors round it up to 32
+		{1 << 12, 8, 1},     // 4096 cells: halves all the way down
+		{1 << 15, 4, 8},     // 32768/16 = 2048 < 4096 -> halve to 8 (4096 each)
+		{1 << 30, 128, 256}, // capped at maxAutoShards
+		{100, 1, 1},         // tiny table
+	}
+	for _, c := range cases {
+		if got := autoShards(c.size, c.workers); got != c.want {
+			t.Errorf("autoShards(%d, %d) = %d, want %d", c.size, c.workers, got, c.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
 )
 
 // ShardedCompactTable is ShardedTable over CompactTable shards: the
@@ -45,19 +44,17 @@ const shardRadixShift = 40
 // NewShardedCompactTable returns a sharded compact table with capacity
 // for at least size elements in total, split over the given number of
 // shards (rounded up to a power of two); shards <= 0 selects the
-// automatic policy of NewShardedTable (tune.Shards over the always-on
-// imbalance gauge; the static 4×-workers policy when the gauge is
-// zero). Per-shard capacity semantics are NewCompactTable's (power of
-// two, at least 8 cells); the compact layout runs comfortably at
-// per-shard load factors up to ~0.9, so ~10% headroom on size absorbs
-// the multinomial spread for the shard counts the automatic policy
-// picks.
+// automatic policy of NewShardedTable (autoShards). Per-shard capacity
+// semantics are NewCompactTable's (power of two, at least 8 cells);
+// the compact layout runs comfortably at per-shard load factors up to
+// ~0.9, so ~10% headroom on size absorbs the multinomial spread for
+// the shard counts the automatic policy picks.
 func NewShardedCompactTable[O Ops](size, shards int) *ShardedCompactTable[O] {
 	if size < 1 {
 		size = 1
 	}
 	if shards <= 0 {
-		shards = tune.Shards(size, parallel.NumWorkers(), obs.CoreMaxShardImbalancePm())
+		shards = autoShards(size, parallel.NumWorkers())
 	}
 	s := 1
 	for s < shards {

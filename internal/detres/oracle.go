@@ -29,10 +29,10 @@ type OracleResult struct {
 	Elements []uint64 // deterministic packed contents
 	Layout   []uint64 // raw cell array (history-independence witness)
 	Count    int
-	// Trace is the self-tuning decision trace when the runner exercises
-	// an adaptive component (TuneEpochRunner); empty otherwise. Compared
-	// byte-for-byte like the layout: tuning decisions must be a pure
-	// function of the operation script, never of the schedule.
+	// Trace is the decision trace when the runner exercises an adaptive
+	// component (AutoTuneRunner); empty otherwise. Compared byte-for-byte
+	// like the layout: tuning decisions must be a pure function of the
+	// operation script, never of the schedule.
 	Trace string
 }
 
@@ -50,29 +50,34 @@ type Runner interface {
 // varies with the worker count while the operation *set* — and hence
 // the deterministic quiescent state — does not.
 func replayPhases(n, workers int, insert, del func(i int)) {
+	stripe(n, workers, insert)
+	stripe(n, workers, func(i int) {
+		if i%3 == 0 {
+			del(i)
+		}
+	})
+}
+
+// stripe runs fn(i) for every i in [0, n), indices striped across the
+// workers, and returns once all have finished (the phase barrier).
+func stripe(n, workers int, fn func(i int)) {
 	if workers < 1 {
 		workers = 1
 	}
-	stripe := func(fn func(i int), every int) {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if chaos.Enabled {
-					chaos.SkewWorker(chaos.SiteParallelWorker)
-				}
-				for i := w; i < n; i += workers {
-					if i%every == 0 {
-						fn(i)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if chaos.Enabled {
+				chaos.SkewWorker(chaos.SiteParallelWorker)
+			}
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		}(w)
 	}
-	stripe(insert, 1)
-	stripe(del, 3)
+	wg.Wait()
 }
 
 // WordRunner replays on a fixed-capacity WordTable[SetOps]. Capacity

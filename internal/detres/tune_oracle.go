@@ -1,167 +1,125 @@
 package detres
 
-// Self-tuning oracle: the determinism claim extended across the
-// adaptive layer. internal/tune picks the flush execution path for
-// each epoch (serial / parallel-atomic / sharded-bulk) from that
-// epoch's admitted batch sizes; the claim is that the decisions — and
-// therefore the decision trace AND the quiescent state they produce —
-// are a pure function of the operation script, never of the schedule.
-// TuneEpochRunner replays a path-crossing epoch script through a live
-// epoch.Server with Config.Tune on and captures both the per-epoch
-// quiescent snapshots and the server's TuneTrace; TuneEpochRefRunner
-// replays the same script through the bare bulk kernels plus a bare
-// controller fed the script's own batch sizes. RunOracle then proves
-// grid-wide byte-identity of state + trace, and RunCrossOracle pins
-// the live adaptive server to the goroutine-free reference — any
-// schedule dependence in the tuner's inputs lands here.
+// Self-tuning oracle: the determinism claim extended across the one
+// adaptive component left in the library, tables.AutoTable, which
+// migrates between the flat and the compact representation at bulk-call
+// boundaries when its load factor and op mix cross the kind policy's
+// thresholds. The claim is that the decisions — and therefore the
+// decision trace AND the quiescent state they produce — are a pure
+// function of the operation script, never of the schedule.
+// AutoTuneRunner replays a script whose load and find share cross the
+// thresholds in both directions; RunOracle proves grid-wide
+// byte-identity of state + trace, and RunCrossOracle pins the
+// per-element path to the bulk kernels, whose op tallies (the policy's
+// inputs) must agree exactly.
 
 import (
-	"context"
-	"fmt"
-	"sync"
-
-	"phasehash/internal/chaos"
 	"phasehash/internal/core"
-	"phasehash/internal/epoch"
-	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
+	"phasehash/internal/tables"
 )
 
-// tuneStepFor scripts one epoch over a chunk with the oracle's usual
-// conventions: insert the whole chunk, delete every third element,
-// find every fifth.
-func tuneStepFor(chunk []uint64) epochStep {
-	st := epochStep{ins: chunk}
-	for i := 0; i < len(chunk); i += 3 {
-		st.del = append(st.del, chunk[i])
-	}
-	for i := 0; i < len(chunk); i += 5 {
-		st.fnd = append(st.fnd, chunk[i])
-	}
-	return st
+// tunePhase is one phase of the tuning script: the keys it inserts,
+// finds or deletes.
+type tunePhase struct {
+	op   byte // 'i', 'f' or 'd'
+	keys []uint64
 }
 
-// tuneScript splits the workload into epochs whose batch sizes cross
-// the tune path thresholds: a small epoch (≤ SerialBatchMax), a medium
-// one (≤ ParallelBatchMax) and the large remainder, so a full-size
-// workload drives the controller through all three flush paths and the
-// oracle compares a trace with real decisions in it, not a constant.
-// Like epochScript, the split depends only on the workload.
-func tuneScript(elems []uint64) []epochStep {
-	bounds := []int{tune.SerialBatchMax / 4, tune.ParallelBatchMax / 2}
-	steps := make([]epochStep, 0, len(bounds)+1)
-	lo := 0
-	for _, hi := range bounds {
-		if hi > len(elems) {
-			hi = len(elems)
-		}
-		if hi > lo {
-			steps = append(steps, tuneStepFor(elems[lo:hi]))
-			lo = hi
+// tuneScript derives the kind-crossing script and the table capacity
+// from a workload, as a pure function of it. The capacity is the
+// largest power of two (at least 64) whose 80% fits in the workload's
+// distinct keys, and the script uses the shortest prefix p holding that
+// many distinct keys:
+//
+//  1. insert the first half of p, then find all of p three times: a
+//     find-heavy mix at about 40% load, which stays flat;
+//  2. insert the rest of p (load about 80%), then find all of p: the
+//     find phase's boundary sees high load and a find share of 3/4 and
+//     switches to compact;
+//  3. delete the first half of p, then find all of p: the find phase's
+//     boundary sees the load back near 40% and switches to flat.
+//
+// Shorter workloads (the minimizer's prefixes) simply cross fewer
+// thresholds.
+func tuneScript(elems []uint64) (capacity int, phases []tunePhase) {
+	distinct := make(map[uint64]struct{}, len(elems))
+	for _, e := range elems {
+		distinct[e] = struct{}{}
+	}
+	capacity = 64
+	for capacity*2*4/5 <= len(distinct) {
+		capacity *= 2
+	}
+	target := capacity * 4 / 5
+	seen := make(map[uint64]struct{}, target)
+	p := len(elems)
+	for i, e := range elems {
+		seen[e] = struct{}{}
+		if len(seen) >= target {
+			p = i + 1
+			break
 		}
 	}
-	if lo < len(elems) {
-		steps = append(steps, tuneStepFor(elems[lo:]))
+	prefix, half := elems[:p], elems[:p/2]
+	finds := func(rounds int) tunePhase {
+		keys := make([]uint64, 0, rounds*p)
+		for r := 0; r < rounds; r++ {
+			keys = append(keys, prefix...)
+		}
+		return tunePhase{'f', keys}
 	}
-	return steps
+	return capacity, []tunePhase{
+		{'i', half}, finds(3),
+		{'i', elems[p/2 : p]}, finds(1),
+		{'d', half}, finds(1),
+	}
 }
 
-// TuneEpochRunner replays the path-crossing script through a live
-// epoch.Server with the adaptive flush-path selector enabled. As in
-// EpochRunner, MaxBatch and QueueLimit are sized to the largest epoch
-// so every Flush executes exactly one script epoch — which makes the
-// controller's inputs (the per-epoch batch sizes) exactly the script's,
-// whatever the submission schedule. The observation appends each
-// epoch's quiescent snapshot and finally the server's decision trace.
-type TuneEpochRunner struct {
-	Capacity int
-	Shards   int // pinned, as everywhere in the oracle
-}
+// AutoTuneRunner replays the kind-crossing script on a
+// tables.AutoTable. With PerElement set, every phase opens with an
+// empty bulk call of its kind (the boundary at which the table
+// re-decides its representation) and then runs per-element, striped
+// across the workers; otherwise each phase is one bulk call. The
+// observation carries the table's decision trace.
+type AutoTuneRunner struct{ PerElement bool }
 
 // Name implements Runner.
-func (r TuneEpochRunner) Name() string { return "tune-epoch" }
-
-// Run implements Runner.
-func (r TuneEpochRunner) Run(elems []uint64, workers int) OracleResult {
-	if workers < 1 {
-		workers = 1
+func (r AutoTuneRunner) Name() string {
+	if r.PerElement {
+		return "auto-tune"
 	}
-	steps := tuneScript(elems)
-	limit := 1
-	for _, st := range steps {
-		if n := len(st.ins) + len(st.del) + len(st.fnd) + 1; n > limit {
-			limit = n
-		}
-	}
-	limit += 16
-	// The controller also adjusts the global parallel grain knob
-	// (performance-only, excluded from the trace); restore the default
-	// so one grid cell cannot leak tuning into the next.
-	defer parallel.SetBlocksPerWorker(0)
-	s := epoch.NewServerWith(
-		epoch.Config{MaxBatch: limit, QueueLimit: limit, Tune: true},
-		core.NewShardedTable[core.SetOps](r.Capacity, r.Shards))
-	defer s.Close(context.Background())
-
-	var layout, packed []uint64
-	count := 0
-	for _, st := range steps {
-		ops := st.ops()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if chaos.Enabled {
-					chaos.SkewWorker(chaos.SiteParallelWorker)
-				}
-				for i := w; i < len(ops); i += workers {
-					if _, err := s.Submit(context.Background(), ops[i].op, ops[i].key); err != nil {
-						// The queue is sized to the script; any admission
-						// error here is a harness bug, not a grid outcome.
-						panic(fmt.Sprintf("detres: tune oracle Submit(%v, %#x): %v", ops[i].op, ops[i].key, err))
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		s.Flush()
-		t := s.Table()
-		layout = append(layout, t.Snapshot()...)
-		packed = append(packed, t.Elements()...)
-		count += t.Count()
-	}
-	return OracleResult{Elements: packed, Layout: layout, Count: count, Trace: s.TuneTrace()}
+	return "auto-tune-bulk"
 }
 
-// TuneEpochRefRunner is the adaptive server with every moving part
-// removed: the same script replayed through the bare bulk kernels,
-// with a bare controller fed each epoch's scripted batch sizes — the
-// exact inputs the server's flush hands its own controller (reads
-// include the one OpElements snapshot per epoch). Its trace is the
-// ground truth the live server's must match byte-for-byte.
-type TuneEpochRefRunner struct {
-	Capacity int
-	Shards   int
-}
-
-// Name implements Runner.
-func (r TuneEpochRefRunner) Name() string { return "tune-epoch-ref" }
-
 // Run implements Runner.
-func (r TuneEpochRefRunner) Run(elems []uint64, workers int) OracleResult {
-	t := core.NewShardedTable[core.SetOps](r.Capacity, r.Shards)
-	ctrl := tune.NewController(false)
-	var layout, packed []uint64
-	count := 0
-	for _, st := range tuneScript(elems) {
-		ctrl.Step()
-		ctrl.DecidePath(len(st.ins), len(st.del), len(st.fnd)+1)
-		t.TryInsertAll(st.ins) // capacity is sized by the caller; ErrFull would diverge the layout and be caught
-		t.DeleteAll(st.del)
-		layout = append(layout, t.Snapshot()...)
-		packed = append(packed, t.Elements()...)
-		count += t.Count()
+func (r AutoTuneRunner) Run(elems []uint64, workers int) OracleResult {
+	capacity, phases := tuneScript(elems)
+	t := tables.NewAutoTable[core.SetOps](capacity)
+	for _, ph := range phases {
+		keys := ph.keys
+		if r.PerElement {
+			keys = nil
+		}
+		switch ph.op {
+		case 'i':
+			t.InsertAll(keys)
+		case 'f':
+			t.FindAll(keys, nil)
+		case 'd':
+			t.DeleteAll(keys)
+		}
+		if !r.PerElement {
+			continue
+		}
+		keys = ph.keys
+		switch ph.op {
+		case 'i':
+			stripe(len(keys), workers, func(i int) { t.Insert(keys[i]) })
+		case 'f':
+			stripe(len(keys), workers, func(i int) { t.Find(keys[i]) })
+		case 'd':
+			stripe(len(keys), workers, func(i int) { t.Delete(keys[i]) })
+		}
 	}
-	return OracleResult{Elements: packed, Layout: layout, Count: count, Trace: ctrl.TraceString()}
+	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count(), Trace: t.TuneTrace()}
 }

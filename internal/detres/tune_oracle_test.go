@@ -1,70 +1,47 @@
 package detres
 
 import (
+	"strings"
 	"testing"
-
-	"phasehash/internal/tune"
 )
 
-// tuneOracleConfig sizes the workload so tuneScript's epochs cross all
-// three flush-path thresholds (the last epoch must exceed
-// ParallelBatchMax), and trims the seed axis: each cell replays ~2×
-// the element count in submissions through a live server, so four
-// seeds buy the same schedule variety at half the epoch grid's cost.
-func tuneOracleConfig(t *testing.T) OracleConfig {
-	cfg := epochOracleConfig(t)
-	cfg.N = tune.ParallelBatchMax * 2
-	if len(cfg.Seeds) > 4 {
-		cfg.Seeds = cfg.Seeds[:4]
-	}
-	return cfg
-}
-
-// TestTuneScriptCrossesPaths guards the oracle against vacuity: the
-// script must actually drive the controller through all three flush
-// paths, so the compared traces contain real decisions. A threshold
-// change that flattens the script to one path fails here, loudly,
-// rather than silently weakening the grid tests below.
+// TestTuneScriptCrossesPaths guards the oracle against vacuity: on
+// every workload of the grid the script must actually drive the
+// AutoTable to compact and back to flat, so the compared traces contain
+// real decisions. A threshold change that leaves the table on one
+// representation fails here, loudly, rather than silently weakening the
+// grid tests below.
 func TestTuneScriptCrossesPaths(t *testing.T) {
-	cfg := tuneOracleConfig(t)
-	seen := map[tune.Path]bool{}
-	steps := tuneScript(OracleWorkload(cfg.Dists[0], cfg.N, cfg.Seeds[0]))
-	for _, st := range steps {
-		seen[tune.FlushPath(len(st.ins), len(st.del), len(st.fnd)+1)] = true
-	}
-	for _, p := range []tune.Path{tune.PathSerial, tune.PathParallel, tune.PathSharded} {
-		if !seen[p] {
-			t.Fatalf("tuneScript(%d elems) never selects %v across %d epochs", cfg.N, p, len(steps))
+	cfg := testOracleConfig(t)
+	for _, dist := range cfg.Dists {
+		elems := OracleWorkload(dist, cfg.N, cfg.Seeds[0])
+		trace := AutoTuneRunner{}.Run(elems, 1).Trace
+		if !strings.Contains(trace, "kind=compact") || !strings.Contains(trace, "kind=flat") {
+			t.Fatalf("%s: script does not cross both kinds, trace:\n%s", dist, trace)
 		}
 	}
 }
 
 // TestOracleGridTune is the adaptive-layer determinism gate: the
-// path-crossing script replayed through a live tuning server across
-// the seed × worker × fault-profile grid, asserting every cell agrees
-// byte-for-byte on the concatenated per-epoch quiescent snapshots AND
-// on the decision trace. The trace comparison is the new obligation:
-// tuning decisions must derive from the admitted multiset alone, so a
+// kind-crossing script replayed per-element on an AutoTable across the
+// seed × worker × fault-profile grid, asserting every cell agrees
+// byte-for-byte on the quiescent state AND on the decision trace. A
 // worker count or injected fault that shifts a single decision — even
 // one producing the same final state — is a failure.
 func TestOracleGridTune(t *testing.T) {
-	cfg := tuneOracleConfig(t)
-	if d := RunOracle(TuneEpochRunner{Capacity: 4 * cfg.N, Shards: 8}, cfg); d != nil {
+	if d := RunOracle(AutoTuneRunner{PerElement: true}, testOracleConfig(t)); d != nil {
 		t.Fatal(d)
 	}
 }
 
-// TestOracleCrossPathTune pins the live adaptive server to the
-// reference: bare kernels plus a bare controller fed the script's own
-// batch sizes. Every grid cell of the server must match the reference
-// state and trace, so any gap between what the server's flush hands
-// its controller and what the script says — a shed op, a split epoch,
-// a miscounted read — lands here.
+// TestOracleCrossPathTune pins the per-element path to the bulk
+// kernels: every grid cell of the per-element replay must match the
+// bulk replay's state and trace. The policy's inputs are the op
+// tallies and reported count deltas, so any gap between what
+// Insert/Find/Delete report and what InsertAll/FindAll/DeleteAll
+// report lands here.
 func TestOracleCrossPathTune(t *testing.T) {
-	cfg := tuneOracleConfig(t)
-	a := TuneEpochRefRunner{Capacity: 4 * cfg.N, Shards: 8}
-	b := TuneEpochRunner{Capacity: 4 * cfg.N, Shards: 8}
-	if d := RunCrossOracle(a, b, cfg); d != nil {
+	if d := RunCrossOracle(AutoTuneRunner{}, AutoTuneRunner{PerElement: true}, testOracleConfig(t)); d != nil {
 		t.Fatal(d)
 	}
 }

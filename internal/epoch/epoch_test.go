@@ -128,8 +128,12 @@ func TestReservedKeyRejectedAtAdmission(t *testing.T) {
 	if _, err := s.Submit(context.Background(), OpInsert, core.Empty); !errors.Is(err, core.ErrReservedKey) {
 		t.Fatalf("Submit(insert, Empty) err = %v, want ErrReservedKey", err)
 	}
-	if st := s.Stats(); st.Admitted != 0 {
-		t.Fatalf("reserved key was admitted: %+v", st)
+	if _, err := s.Submit(context.Background(), Op(200), 1); !errors.Is(err, ErrUnknownOp) {
+		t.Fatalf("Submit(Op(200)) err = %v, want ErrUnknownOp", err)
+	}
+	s.Flush()
+	if st := s.Stats(); st.Admitted != 0 || st.ReadOps != 0 {
+		t.Fatalf("rejected op was admitted: %+v", st)
 	}
 }
 

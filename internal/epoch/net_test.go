@@ -214,6 +214,31 @@ func TestWireReservedStatus(t *testing.T) {
 	}
 }
 
+// TestWireUnknownOpStatus: a frame whose op byte names no operation
+// is refused at admission with an error status; it never reaches an
+// epoch, so it cannot pack the table as an Elements read.
+func TestWireUnknownOpStatus(t *testing.T) {
+	addr, s, shutdown := startWireServer(t, Config{Size: 1 << 10, FlushInterval: time.Millisecond})
+	defer shutdown()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	res, err := c.Call(Op(200), 1, time.Second)
+	if err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if res.Err == nil || res.Elems != nil {
+		t.Fatalf("res = %+v, want an error status and no elements", res)
+	}
+	if st := s.Stats(); st.Admitted != 0 || st.ReadOps != 0 {
+		t.Fatalf("unknown op was admitted: %+v", st)
+	}
+}
+
 // TestWireShutdownMidTraffic: shutting the server down under live
 // client traffic must not wedge either side — the client sees clean
 // refusals or transport EOF, and shutdown completes.

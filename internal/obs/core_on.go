@@ -128,7 +128,7 @@ func CoreDispatch(nblocks, items int) {
 }
 
 // CoreMaxShardImbalancePm returns the current imbalance gauge without
-// merging the stripes (the construction-time shard policy's one read).
+// merging the stripes.
 func CoreMaxShardImbalancePm() uint64 { return atomicx.Load(&coreImbalancePm) }
 
 // CoreSnapshot merges every stripe into one CoreStats. Merging is pure
@@ -158,8 +158,8 @@ func CoreSnapshot() CoreStats {
 }
 
 // CoreReset zeroes every core sink and the imbalance gauge. Benchmark
-// drivers reset between cells so one distribution's skew cannot leak
-// into the next cell's tuning inputs.
+// drivers reset between cells so one distribution's counts and skew
+// cannot leak into the next cell's report.
 func CoreReset() {
 	for i := range coreSinks {
 		for j := range coreSinks[i].c {

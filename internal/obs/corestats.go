@@ -7,9 +7,9 @@ import (
 
 // This file is the build-tag-free half of the always-on counter core:
 // the merged snapshot type and its derived gauges. The core is the
-// minimal telemetry subset promoted out of the obs build tag so the
-// self-tuning layer (internal/tune) has schedule-independent inputs in
-// every binary: striped operation/probe-step counters, the sharded
+// minimal telemetry subset promoted out of the obs build tag so every
+// binary can report its workload shape (soak summaries, the traced
+// benchmark run): striped operation/probe-step counters, the sharded
 // bulk-kernel imbalance gauge, and the pool dispatch counters. Nothing
 // else moved — histograms, CAS/displacement accounting, phase spans and
 // the debug endpoint stay behind -tags obs.
@@ -21,7 +21,7 @@ import (
 // symbol keeps holding verbatim, and a parallel check asserts the Core*
 // symbols vanish under -tags nostats.
 //
-// Determinism contract (what internal/tune may consume): every CoreStats
+// Determinism contract: every CoreStats
 // field is a sum or a max over per-completed-operation contributions, so
 // for a fixed multiset of completed operations the merged totals are
 // independent of schedule, worker count and stripe assignment — sums and
@@ -29,9 +29,8 @@ import (
 // on the *atomic* probe paths concurrent CAS traffic can lengthen
 // individual probes, so step totals are schedule-dependent there (they
 // are schedule-independent on the serial owner-computes paths). The
-// tuning policies therefore key off op counts, batch sizes and the
-// imbalance gauge only; the step counters exist for operators (phload
-// soak summaries) and for the obs-free mean-probe gauge.
+// step counters exist for operators (phload soak summaries) and for
+// the obs-free mean-probe gauge.
 type CoreStats struct {
 	// Probe-path operation and step totals (WordTable atomic + serial
 	// owner-computes loops; bulk kernels publish once per block).
@@ -57,8 +56,8 @@ type CoreStats struct {
 
 	// Parallel pool dispatch counters: pooled loop dispatches, blocks
 	// dispatched and items (iterations) covered. Their ratios are the
-	// tuner's dispatch-cost signal: items/dispatch says how big the loops
-	// are, blocks/dispatch how finely they were split.
+	// dispatch-cost signal: items/dispatch says how big the loops are,
+	// blocks/dispatch how finely they were split.
 	ParDispatches uint64
 	ParBlocks     uint64
 	ParItems      uint64
@@ -68,8 +67,7 @@ type CoreStats struct {
 func (s CoreStats) OpsTotal() uint64 { return s.InsertOps + s.FindOps + s.DeleteOps }
 
 // FindSharePm returns finds per mille of all probe-path operations
-// (0 when none were recorded) — the op-mix input of the flat-vs-compact
-// and shard policies, integer per-mille like every tuner input.
+// (0 when none were recorded), integer per-mille.
 func (s CoreStats) FindSharePm() uint64 {
 	total := s.OpsTotal()
 	if total == 0 {

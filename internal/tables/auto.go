@@ -1,17 +1,39 @@
 package tables
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"phasehash/internal/core"
-	"phasehash/internal/tune"
 )
+
+// Kind-policy thresholds, integer per-mille.
+const (
+	// compactLoadPm is the load factor above which the compact
+	// representation's higher packing density starts paying for its
+	// control-byte indirection.
+	compactLoadPm = 700
+
+	// compactFindSharePm is the find share of the op mix the policy
+	// additionally requires before picking compact: the fingerprint
+	// probe shines on lookups, while inserts pay the extra control-array
+	// store.
+	compactFindSharePm = 600
+)
+
+// wantCompact is the kind policy: compact only when both the packing
+// density matters (high load) and the mix is find-heavy; everything
+// else stays flat, matching the BENCH_core crossover measurements.
+func wantCompact(loadPm, findSharePm uint64) bool {
+	return loadPm >= compactLoadPm && findSharePm >= compactFindSharePm
+}
 
 // AutoTable is the self-tuning deterministic table: it starts as the
 // flat linearHash-D layout (core.WordTable) and switches to the compact
 // fingerprint-probed layout (core.CompactTable) — or back — when its
-// observed load factor and op mix cross the tune package's thresholds
-// (high load + find-heavy favours compact; everything else flat).
+// observed load factor and op mix cross the kind policy's thresholds
+// (high load + find-heavy favours compact; everything else flat; see
+// wantCompact).
 //
 // Representation decisions happen ONLY at bulk-call boundaries, which
 // the usage contract makes phase boundaries: like core.ShardedTable's
@@ -30,14 +52,17 @@ import (
 // arrays at equal capacity (see LinearDCompact), so the quiescent
 // state remains a pure function of the element set either way.
 //
-// The load factor is tracked as a running tally of the ops' reported
-// count deltas (Insert/InsertAll report how many grew the element
-// count, Delete/DeleteAll how many removed — both deterministic phase
-// totals) rather than re-scanned: the underlying Count() is an
-// O(capacity) sweep, far too expensive to pay at every bulk boundary.
+// The load factor is tracked as a running tally rather than re-scanned:
+// the underlying Count() is an O(capacity) sweep, far too expensive to
+// pay at every bulk boundary. Inserts feed the tally directly, since
+// the number of Insert/InsertAll results reporting growth is a
+// deterministic phase total. Delete results are not: two concurrent
+// deletes of one key can both report a removal. So a phase that
+// removed anything only marks the tally stale, and the next boundary
+// resyncs it with one Count().
 type AutoTable[O core.Ops] struct {
 	capacity int
-	ctrl     *tune.Controller
+	trace    string
 	active   Table
 	bulk     Bulk
 	compact  bool
@@ -46,6 +71,7 @@ type AutoTable[O core.Ops] struct {
 	deletes atomic.Uint64
 	finds   atomic.Uint64
 	live    atomic.Int64
+	stale   atomic.Bool
 }
 
 // NewAutoTable returns an auto-tuning table with the given capacity
@@ -55,7 +81,6 @@ func NewAutoTable[O core.Ops](size int) *AutoTable[O] {
 	flat := core.NewWordTable[O](size)
 	return &AutoTable[O]{
 		capacity: flat.Size(),
-		ctrl:     tune.NewController(false),
 		active:   flat,
 		bulk:     flat,
 	}
@@ -70,22 +95,33 @@ func (a *AutoTable[O]) retarget() {
 	if total == 0 {
 		return
 	}
+	if a.stale.Load() {
+		a.live.Store(int64(a.active.Count()))
+		a.stale.Store(false)
+	}
 	loadPm := uint64(a.live.Load()) * 1000 / uint64(a.capacity)
-	kind := a.ctrl.DecideKind(loadPm, fnd*1000/total)
-	wantCompact := kind == tune.KindCompact
-	if wantCompact == a.compact {
+	findSharePm := fnd * 1000 / total
+	compact := wantCompact(loadPm, findSharePm)
+	if compact == a.compact {
 		return
 	}
+	kind := "flat"
+	if compact {
+		kind = "compact"
+	}
+	// Line format: step (always 0, AutoTable counts no steps),
+	// knob=value, then the integer inputs the policy saw.
+	a.trace += fmt.Sprintf("0 kind=%s (loadPm=%d findSharePm=%d)\n", kind, loadPm, findSharePm)
 	elems := a.active.Elements()
 	var next Table
-	if wantCompact {
+	if compact {
 		next = core.NewCompactTable[O](a.capacity)
 	} else {
 		next = core.NewWordTable[O](a.capacity)
 	}
 	nb, _ := AsBulk(next)
 	nb.InsertAll(elems)
-	a.active, a.bulk, a.compact = next, nb, wantCompact
+	a.active, a.bulk, a.compact = next, nb, compact
 }
 
 // Kind returns the current representation's kind name.
@@ -97,8 +133,16 @@ func (a *AutoTable[O]) Kind() Kind {
 }
 
 // TuneTrace returns the representation decision trace, one line per
-// switch (quiescent use only, like the epoch server's).
-func (a *AutoTable[O]) TuneTrace() string { return a.ctrl.TraceString() }
+// switch (quiescent use only).
+func (a *AutoTable[O]) TuneTrace() string { return a.trace }
+
+// Snapshot copies the active representation's raw cell array
+// (quiescent use only). Both representations store identical cell
+// arrays at equal capacity, so the snapshot is the same whichever kind
+// is active.
+func (a *AutoTable[O]) Snapshot() []uint64 {
+	return a.active.(interface{ Snapshot() []uint64 }).Snapshot()
+}
 
 // --- Table ---
 
@@ -124,8 +168,8 @@ func (a *AutoTable[O]) Find(e uint64) (uint64, bool) {
 func (a *AutoTable[O]) Delete(e uint64) bool {
 	a.deletes.Add(1)
 	removed := a.active.Delete(e)
-	if removed {
-		a.live.Add(-1)
+	if removed && !a.stale.Load() {
+		a.stale.Store(true)
 	}
 	return removed
 }
@@ -166,7 +210,9 @@ func (a *AutoTable[O]) DeleteAll(keys []uint64) int {
 	a.retarget()
 	a.deletes.Add(uint64(len(keys)))
 	removed := a.bulk.DeleteAll(keys)
-	a.live.Add(-int64(removed))
+	if removed != 0 {
+		a.stale.Store(true)
+	}
 	return removed
 }
 

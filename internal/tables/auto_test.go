@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"phasehash/internal/core"
-	"phasehash/internal/tune"
 )
 
 // autoScript drives one AutoTable through a fixed operation script:
@@ -104,7 +103,7 @@ func TestAutoTableKindRegistry(t *testing.T) {
 	}
 	// Thresholds referenced here so a policy change that would
 	// invalidate autoScript's assumptions fails loudly.
-	if tune.CompactLoadPm > 800 {
-		t.Fatalf("CompactLoadPm = %d; autoScript fills to 800pm and relies on crossing it", tune.CompactLoadPm)
+	if compactLoadPm > 800 {
+		t.Fatalf("CompactLoadPm = %d; autoScript fills to 800pm and relies on crossing it", compactLoadPm)
 	}
 }
