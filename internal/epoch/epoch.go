@@ -26,9 +26,13 @@
 //     (fail-fast, the default) or blocks until space or its context
 //     deadline (Config.Block) — queue depth can never exceed the
 //     configured watermark, so overload degrades goodput, never memory.
-//   - Per-request deadlines propagate via context.Context: an op whose
-//     context is done by flush time is shed *before* the epoch touches
-//     the table and its future resolves with the context's error.
+//   - Per-request deadlines ride with each op as an absolute time,
+//     taken from the context's deadline (Submit) or stamped by the wire
+//     reader from the frame's timeout (Serve), so the wire path builds
+//     no per-request context or timer. The flusher reads the clock once
+//     per epoch and sheds every op whose deadline has passed, or whose
+//     context is done, *before* the epoch touches the table; its future
+//     resolves with context.DeadlineExceeded or the context's error.
 //   - Saturation degrades per-future: when TryInsertAll reports
 //     ErrFull, a find pass attributes the failure — futures whose
 //     element landed (or merged) succeed, the rest resolve with ErrFull
@@ -135,6 +139,11 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 	select {
 	case <-f.done:
 		return f.res, nil
+	default:
+	}
+	select {
+	case <-f.done:
+		return f.res, nil
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
@@ -206,7 +215,7 @@ func (cfg Config) withDefaults() Config {
 type Stats struct {
 	Admitted     uint64 // ops past the admission gate
 	ShedOverload uint64 // refused at admission (fail-fast or blocked ctx done)
-	ShedDeadline uint64 // shed at flush: request context done before the epoch
+	ShedDeadline uint64 // shed at flush: deadline passed or context done before the epoch
 	Cancelled    uint64 // deliveries cancelled (chaos injection)
 	Epochs       uint64 // epochs flushed
 	Splits       uint64 // extra epochs from splitting oversized batches
@@ -224,6 +233,7 @@ type pendingOp struct {
 	key      uint64
 	ctx      context.Context
 	admitted time.Time
+	deadline time.Time // zero: none
 	fut      *Future
 }
 
@@ -283,6 +293,16 @@ func NewServerWith(cfg Config, table *core.ShardedTable[core.SetOps]) *Server {
 //
 //phasehash:nondet admission stamps wall-clock admit times for the latency telemetry; the table state never depends on them
 func (s *Server) Submit(ctx context.Context, op Op, key uint64) (*Future, error) {
+	deadline, _ := ctx.Deadline()
+	return s.submit(ctx, time.Now(), deadline, op, key)
+}
+
+// submit is Submit with the admit time and the op's absolute deadline
+// (zero: none) supplied by the caller, so the wire reader spends one
+// clock read per request and no per-request context. ctx still carries
+// cancellation (the connection's); an op past its deadline or with ctx
+// done by flush time is shed.
+func (s *Server) submit(ctx context.Context, now, deadline time.Time, op Op, key uint64) (*Future, error) {
 	if op > OpElements {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownOp, op)
 	}
@@ -295,6 +315,7 @@ func (s *Server) Submit(ctx context.Context, op Op, key uint64) (*Future, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	waitCtx := ctx // the blocked wait's context: ctx bounded by deadline
 	s.mu.Lock()
 	for {
 		if s.closed {
@@ -312,7 +333,14 @@ func (s *Server) Submit(ctx context.Context, op Op, key uint64) (*Future, error)
 			}
 			return nil, ErrOverloaded
 		}
-		if err := ctx.Err(); err != nil {
+		if waitCtx == ctx && !deadline.IsZero() {
+			// The rare blocked path is the only one that needs the
+			// deadline as a context, to wake this waiter when it passes.
+			var cancel context.CancelFunc
+			waitCtx, cancel = context.WithDeadline(ctx, deadline)
+			defer cancel()
+		}
+		if err := waitCtx.Err(); err != nil {
 			s.stats.ShedOverload++
 			s.mu.Unlock()
 			if obs.Enabled {
@@ -324,7 +352,7 @@ func (s *Server) Submit(ctx context.Context, op Op, key uint64) (*Future, error)
 		// AfterFunc wakes every waiter when this request's context
 		// fires; taking the mutex in the callback orders the broadcast
 		// after this goroutine is parked in Wait.
-		stop := context.AfterFunc(ctx, func() {
+		stop := context.AfterFunc(waitCtx, func() {
 			s.mu.Lock()
 			s.notFull.Broadcast()
 			s.mu.Unlock()
@@ -333,7 +361,7 @@ func (s *Server) Submit(ctx context.Context, op Op, key uint64) (*Future, error)
 		stop()
 	}
 	fut := &Future{done: make(chan struct{})}
-	s.pending = append(s.pending, pendingOp{op: op, key: key, ctx: ctx, admitted: time.Now(), fut: fut})
+	s.pending = append(s.pending, pendingOp{op: op, key: key, ctx: ctx, admitted: now, deadline: deadline, fut: fut})
 	n := len(s.pending)
 	if n > s.stats.MaxQueue {
 		s.stats.MaxQueue = n
@@ -516,6 +544,8 @@ func (s *Server) flushBatch(batch []pendingOp) {
 // delete and read phases through the bulk kernels, resolving futures
 // as each phase completes. Deadline shedding chooses the admitted set;
 // the quiescent state is a pure function of whatever set was chosen.
+//
+//phasehash:nondet one clock read per epoch decides deadline shedding, which picks the executed set, never what that set produces
 func (s *Server) flush(batch []pendingOp, split bool) {
 	if chaos.Enabled {
 		chaos.Yield(chaos.SiteEpochFlush) // delayed flush / stalled flusher
@@ -524,12 +554,17 @@ func (s *Server) flush(batch []pendingOp, split bool) {
 		time.Sleep(s.cfg.FlushDelay)
 	}
 
-	// Shed ops whose request context is already done — BEFORE the table
-	// sees them — and partition the survivors by phase.
+	// Shed ops past their deadline or whose context is already done —
+	// BEFORE the table sees them — and partition the survivors by phase.
 	var ins, del, fnd, elm []pendingOp
 	shed := 0
+	now := time.Now()
 	for _, p := range batch {
-		if err := p.ctx.Err(); err != nil {
+		err := p.ctx.Err()
+		if err == nil && !p.deadline.IsZero() && !now.Before(p.deadline) {
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
 			p.fut.res = Result{Err: err}
 			close(p.fut.done)
 			shed++

@@ -13,7 +13,10 @@ package epoch
 // Requests pipeline freely; responses come back in request order per
 // connection (ops from one connection land in epochs in submission
 // order, and epochs complete in order, so in-order delivery adds no
-// latency). timeout_us is the per-request deadline; 0 means none.
+// latency). timeout_us is the per-request deadline; 0 means none. The
+// server stamps it as an absolute time (read time + timeout_us) on the
+// admitted op, so a request costs one clock read and no context or
+// timer; the flusher sheds the op once that time has passed.
 // Admission refusals (StatusOverloaded, StatusClosed, ...) use the
 // same response frames, so an overloaded server degrades into explicit
 // per-request shed signals, never into dropped bytes or stalled
@@ -159,26 +162,24 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 		key := binary.LittleEndian.Uint64(frame[9:17])
 		timeoutUs := binary.LittleEndian.Uint32(frame[17:21])
 
-		reqCtx := connCtx
-		var reqCancel context.CancelFunc
+		// One clock read stamps both the admit time and the deadline.
+		now := time.Now()
+		var deadline time.Time
 		if timeoutUs > 0 {
-			reqCtx, reqCancel = context.WithTimeout(connCtx, time.Duration(timeoutUs)*time.Microsecond)
+			deadline = now.Add(time.Duration(timeoutUs) * time.Microsecond)
 		}
-		fut, err := s.Submit(reqCtx, op, key)
+		fut, err := s.submit(connCtx, now, deadline, op, key)
 		if err != nil {
 			fut = resolved(Result{Err: err})
 		}
-		if reqCancel != nil {
-			// Release the timer once the future resolves; the future
-			// already carries the outcome, so this cancel can't shed it.
-			go func(f *Future, stop context.CancelFunc) {
-				<-f.Done()
-				stop()
-			}(fut, reqCancel)
-		}
+		in := inflight{id: id, op: op, fut: fut}
 		select {
-		case queue <- inflight{id: id, op: op, fut: fut}:
-		case <-connCtx.Done():
+		case queue <- in: // the common case skips the two-way select below
+		default:
+			select {
+			case queue <- in:
+			case <-connCtx.Done():
+			}
 		}
 		if connCtx.Err() != nil {
 			break
@@ -192,22 +193,27 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 // future and framing its result.
 func writeResponses(ctx context.Context, conn net.Conn, queue <-chan inflight) {
 	bw := bufio.NewWriter(conn)
+	var payload []byte // Elements payload buffer, reused across responses
 	for {
 		var in inflight
 		select {
-		case in = <-queue:
-		case <-ctx.Done():
-			// Flush what's written, then drain without blocking forever:
-			// remaining futures resolve during server drain or were shed.
-			bw.Flush()
-			return
+		case in = <-queue: // the common case skips the two-way select below
+		default:
+			select {
+			case in = <-queue:
+			case <-ctx.Done():
+				// Flush what's written, then drain without blocking forever:
+				// remaining futures resolve during server drain or were shed.
+				bw.Flush()
+				return
+			}
 		}
 		res, err := in.fut.Wait(ctx)
 		if err != nil {
 			bw.Flush()
 			return
 		}
-		if writeResponse(bw, in, res) != nil {
+		if payload, err = writeResponse(bw, payload, in, res); err != nil {
 			return
 		}
 		// Flush when no response is immediately pending, so pipelined
@@ -221,7 +227,9 @@ func writeResponses(ctx context.Context, conn net.Conn, queue <-chan inflight) {
 }
 
 // writeResponse frames one resolved result onto the buffered writer.
-func writeResponse(bw *bufio.Writer, in inflight, res Result) error {
+// An Elements payload is encoded into payload (grown as needed and
+// returned for reuse) and written in one call.
+func writeResponse(bw *bufio.Writer, payload []byte, in inflight, res Result) ([]byte, error) {
 	var hdr [respFrameLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], in.id)
 	hdr[8] = statusOf(res, in.op)
@@ -232,31 +240,44 @@ func writeResponse(bw *bufio.Writer, in inflight, res Result) error {
 	}
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(elems)))
 	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
+		return payload, err
 	}
-	var word [8]byte
+	if len(elems) == 0 {
+		return payload, nil
+	}
+	payload = payload[:0]
 	for _, e := range elems {
-		binary.LittleEndian.PutUint64(word[:], e)
-		if _, err := bw.Write(word[:]); err != nil {
-			return err
-		}
+		payload = binary.LittleEndian.AppendUint64(payload, e)
 	}
-	return nil
+	_, err := bw.Write(payload)
+	return payload, err
 }
+
+// maxPendingWrite bounds the request bytes a Client queues for its
+// writer goroutine: Do blocks while this much is pending, so a server
+// that stops reading stalls the caller instead of growing the buffer.
+const maxPendingWrite = 64 << 10
 
 // Client is a pipelined client for a served epoch Server. Safe for
 // concurrent use; responses are matched to calls by request id.
+//
+// Do only appends a frame to a pending buffer; one writer goroutine
+// sends whatever has accumulated with a single conn.Write, so requests
+// issued while a write is in progress share the next one.
 type Client struct {
 	conn net.Conn
-	bw   *bufio.Writer
 
 	mu      sync.Mutex
+	wake    *sync.Cond // writer: frames pending, or the transport is done
+	room    *sync.Cond // blocked Do calls: the pending buffer was taken
+	wbuf    []byte     // frames not yet handed to the writer
 	nextID  uint64
 	pending map[uint64]*ClientFuture
 	err     error // sticky transport error
 	closed  bool
 
 	readerDone chan struct{}
+	writerDone chan struct{}
 }
 
 // ClientFuture resolves to a remote operation's response.
@@ -290,18 +311,27 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriter(conn),
 		pending:    make(map[uint64]*ClientFuture),
 		readerDone: make(chan struct{}),
+		writerDone: make(chan struct{}),
 	}
+	c.wake = sync.NewCond(&c.mu)
+	c.room = sync.NewCond(&c.mu)
 	go c.readLoop()
+	go c.writeLoop()
 	return c, nil
 }
 
-// Do sends one operation with an optional per-request deadline
-// (timeout <= 0 means none) and returns its future. The send is
-// buffered; Do flushes, so every call is visible to the server without
-// further action.
+// Do queues one operation with an optional per-request deadline
+// (timeout <= 0 means none) and returns its future. Do does not write
+// to the connection: it appends the request frame to the client's
+// pending buffer, and the client's writer goroutine sends everything
+// pending in one write, so concurrent and pipelined calls share one
+// write system call. Do blocks
+// only while maxPendingWrite bytes (64 KiB) already wait to be sent,
+// which happens when the server stops reading. A transport failure
+// therefore arrives asynchronously: the futures of requests it caught
+// resolve with the error, and later calls to Do return it.
 func (c *Client) Do(op Op, key uint64, timeout time.Duration) (*ClientFuture, error) {
 	timeoutUs := int64(0)
 	if timeout > 0 {
@@ -316,6 +346,9 @@ func (c *Client) Do(op Op, key uint64, timeout time.Duration) (*ClientFuture, er
 	f := &ClientFuture{done: make(chan struct{})}
 
 	c.mu.Lock()
+	for c.err == nil && !c.closed && len(c.wbuf) >= maxPendingWrite {
+		c.room.Wait()
+	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
@@ -328,21 +361,13 @@ func (c *Client) Do(op Op, key uint64, timeout time.Duration) (*ClientFuture, er
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = f
-	var frame [reqFrameLen]byte
-	binary.LittleEndian.PutUint64(frame[0:8], id)
-	frame[8] = byte(op)
-	binary.LittleEndian.PutUint64(frame[9:17], key)
-	binary.LittleEndian.PutUint32(frame[17:21], uint32(timeoutUs))
-	_, err := c.bw.Write(frame[:])
-	if err == nil {
-		err = c.bw.Flush()
+	if len(c.wbuf) == 0 {
+		c.wake.Signal()
 	}
-	if err != nil {
-		delete(c.pending, id)
-		c.fail(err)
-		c.mu.Unlock()
-		return nil, err
-	}
+	c.wbuf = binary.LittleEndian.AppendUint64(c.wbuf, id)
+	c.wbuf = append(c.wbuf, byte(op))
+	c.wbuf = binary.LittleEndian.AppendUint64(c.wbuf, key)
+	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf, uint32(timeoutUs))
 	c.mu.Unlock()
 	return f, nil
 }
@@ -359,22 +384,60 @@ func (c *Client) Call(op Op, key uint64, timeout time.Duration) (Result, error) 
 }
 
 // Close tears down the connection; outstanding futures resolve with
-// the transport error.
+// the transport error, Do calls blocked on a full buffer return
+// ErrClosed, and the reader and writer goroutines exit before Close
+// returns. Requests still pending in the buffer are not sent.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	c.wake.Signal()
+	c.room.Broadcast()
 	c.mu.Unlock()
 	err := c.conn.Close()
 	<-c.readerDone
+	<-c.writerDone
 	return err
 }
 
-// fail marks the transport dead and resolves all pending futures with
-// err. Callers must hold c.mu.
+// writeLoop is the client's writer goroutine: it takes the whole
+// pending buffer and sends it with one conn.Write, until Close or a
+// transport failure. Two buffers alternate, so Do appends to one while
+// the other is on the wire.
+func (c *Client) writeLoop() {
+	defer close(c.writerDone)
+	var spare []byte
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.wbuf) == 0 && c.err == nil && !c.closed {
+			c.wake.Wait()
+		}
+		if c.err != nil || c.closed {
+			return
+		}
+		out := c.wbuf
+		c.wbuf = spare[:0]
+		c.room.Broadcast()
+		c.mu.Unlock()
+		_, err := c.conn.Write(out)
+		c.mu.Lock()
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		spare = out
+	}
+}
+
+// fail marks the transport dead, resolves all pending futures with
+// err, and wakes the writer and any Do blocked on a full buffer.
+// Callers must hold c.mu.
 func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
+	c.wake.Signal()
+	c.room.Broadcast()
 	for id, f := range c.pending {
 		f.err = c.err
 		close(f.done)
@@ -406,16 +469,16 @@ func (c *Client) readLoop() {
 				c.mu.Unlock()
 				return
 			}
+			raw := make([]byte, 8*int(nelems))
+			if _, err := io.ReadFull(br, raw); err != nil {
+				c.mu.Lock()
+				c.fail(err)
+				c.mu.Unlock()
+				return
+			}
 			elems = make([]uint64, nelems)
-			var word [8]byte
 			for i := range elems {
-				if _, err := io.ReadFull(br, word[:]); err != nil {
-					c.mu.Lock()
-					c.fail(err)
-					c.mu.Unlock()
-					return
-				}
-				elems[i] = binary.LittleEndian.Uint64(word[:])
+				elems[i] = binary.LittleEndian.Uint64(raw[8*i:])
 			}
 		}
 		c.mu.Lock()

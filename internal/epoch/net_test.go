@@ -3,8 +3,11 @@ package epoch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,5 +286,246 @@ func TestWireShutdownMidTraffic(t *testing.T) {
 	case <-clientDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("client goroutine wedged after shutdown")
+	}
+}
+
+// TestClientBackpressure: against a peer that accepts and never reads,
+// Do must stall once the pending-write bound and the socket buffers are
+// full (bounded memory, as a blocking flush would), and Close must then
+// release the blocked Do with an error instead of leaving it hung.
+func TestClientBackpressure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		// Small kernel buffers keep the bytes the socket absorbs, and
+		// so the futures the stall leaves pending, few.
+		conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		accepted <- conn
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	c.conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	peer := <-accepted
+	if peer == nil {
+		t.Fatal("accept failed")
+	}
+	defer peer.Close()
+
+	// Far more requests than the bound and the socket buffers hold; a
+	// client that never blocks stops here rather than exhausting memory.
+	const most = 1 << 17
+	var issued atomic.Int64
+	doErr := make(chan error, 1)
+	go func() {
+		for i := uint64(1); i <= most; i++ {
+			if _, err := c.Do(OpInsert, i, 0); err != nil {
+				doErr <- err
+				return
+			}
+			issued.Add(1)
+		}
+		doErr <- nil
+	}()
+
+	// Wait until Do stops making progress: the caller is stalled.
+	last := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		time.Sleep(100 * time.Millisecond)
+		n := issued.Load()
+		if n == most {
+			t.Fatalf("Do never blocked against a peer that does not read (%d issued)", n)
+		}
+		if n == last {
+			break
+		}
+		last = n
+		if time.Now().After(deadline) {
+			t.Fatalf("Do never blocked against a peer that does not read (%d issued)", n)
+		}
+	}
+	select {
+	case err := <-doErr:
+		t.Fatalf("Do returned instead of blocking: %v", err)
+	default:
+	}
+	c.mu.Lock()
+	pendingBytes := len(c.wbuf)
+	c.mu.Unlock()
+	if pendingBytes < maxPendingWrite {
+		t.Fatalf("stalled with %d bytes pending, below the %d-byte bound", pendingBytes, maxPendingWrite)
+	}
+	t.Logf("Do blocked after %d requests (%d bytes pending)", last, pendingBytes)
+
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case err := <-doErr:
+		if err == nil {
+			t.Fatal("blocked Do released without an error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release the blocked Do")
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung against a peer that does not read")
+	}
+}
+
+// TestWireBlockDeadline: in blocking admission, a wire request whose
+// deadline passes while it waits for queue space comes back
+// StatusDeadline at its deadline, not when the queue next drains.
+func TestWireBlockDeadline(t *testing.T) {
+	const flushDelay = time.Second
+	addr, s, shutdown := startWireServer(t, Config{
+		Size: 1 << 10, MaxBatch: 1, QueueLimit: 1, Block: true,
+		FlushInterval: time.Millisecond, FlushDelay: flushDelay,
+	})
+	defer shutdown()
+
+	filler, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer filler.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	// The first op is taken into a slow epoch; the second then holds
+	// the only queue slot until that epoch ends.
+	for k := uint64(1); k <= 2; k++ {
+		if _, err := filler.Do(OpInsert, k, 0); err != nil {
+			t.Fatalf("fill: %v", err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Admitted < 2 || s.QueueDepth() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never filled: %+v depth %d", s.Stats(), s.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	t0 := time.Now()
+	res, err := c.Call(OpFind, 1, time.Millisecond)
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("res = %+v, want DeadlineExceeded", res)
+	}
+	if took >= flushDelay/2 {
+		t.Fatalf("blocked admission gave up after %v; the deadline was 1ms (flush delay %v)", took, flushDelay)
+	}
+	if st := s.Stats(); st.ShedOverload != 1 {
+		t.Fatalf("ShedOverload = %d, want 1 (the expired blocked wait)", st.ShedOverload)
+	}
+}
+
+// TestClientNoLeak: Dial, traffic and Close leave no goroutine behind
+// on either side, the client's writer included.
+func TestClientNoLeak(t *testing.T) {
+	addr, _, shutdown := startWireServer(t, Config{Size: 1 << 10, FlushInterval: time.Millisecond})
+	defer shutdown()
+	before := runtime.NumGoroutine()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	for k := uint64(1); k <= 64; k++ {
+		res, err := c.Call(OpInsert, k, time.Second)
+		if err != nil || res.Err != nil {
+			t.Fatalf("insert %d: res=%+v err=%v", k, res, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := c.Do(OpFind, 1, 0); err == nil {
+		t.Fatal("Do after Close succeeded")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines leaked: %d before Dial, %d after Close", before, now)
+	}
+}
+
+// TestClientConcurrentDo: several goroutines sharing one Client have
+// their frames coalesced into common writes; every response must still
+// reach the future of the request it answers.
+func TestClientConcurrentDo(t *testing.T) {
+	addr, _, shutdown := startWireServer(t, Config{Size: 1 << 14, MaxBatch: 64, QueueLimit: 4096, FlushInterval: time.Millisecond})
+	defer shutdown()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	const workers, each = 4, 256
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			futs := make([]*ClientFuture, each)
+			var err error
+			for i := range futs {
+				key := uint64(w*each + i + 1)
+				if futs[i], err = c.Do(OpInsert, key, time.Second); err != nil {
+					errs <- fmt.Errorf("Do(insert %d): %w", key, err)
+					return
+				}
+			}
+			for i := range futs {
+				<-futs[i].Done()
+				if res := futs[i].Result(); res.Err != nil || !res.OK {
+					errs <- fmt.Errorf("insert %d: %+v", w*each+i+1, res)
+					return
+				}
+			}
+			for i := range futs {
+				key := uint64(w*each + i + 1)
+				if futs[i], err = c.Do(OpFind, key, time.Second); err != nil {
+					errs <- fmt.Errorf("Do(find %d): %w", key, err)
+					return
+				}
+			}
+			for i, f := range futs {
+				<-f.Done()
+				if res := f.Result(); !res.OK || res.Value != uint64(w*each+i+1) {
+					errs <- fmt.Errorf("find %d: %+v", w*each+i+1, res)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
